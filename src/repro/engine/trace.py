@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
-class TraceRecord:
+class TraceEvent:
     time: int
     category: str
     node: int
@@ -40,7 +40,7 @@ class NullTracer:
                **detail: Any) -> None:
         pass
 
-    def records(self) -> List[TraceRecord]:
+    def records(self) -> List[TraceEvent]:
         return []
 
 
@@ -61,9 +61,9 @@ class Tracer(NullTracer):
     enabled = True
 
     def __init__(self, categories: Optional[set] = None,
-                 sink: Optional[Callable[[TraceRecord], None]] = None,
+                 sink: Optional[Callable[[TraceEvent], None]] = None,
                  limit: int = 1_000_000) -> None:
-        self._records: List[TraceRecord] = []
+        self._records: List[TraceEvent] = []
         self._categories = categories
         self._sink = sink
         self._limit = limit
@@ -76,18 +76,18 @@ class Tracer(NullTracer):
         if len(self._records) >= self._limit:
             self.dropped += 1
             return
-        rec = TraceRecord(time, category, node, event,
+        rec = TraceEvent(time, category, node, event,
                           tuple(sorted(detail.items())))
         self._records.append(rec)
         if self._sink is not None:
             self._sink(rec)
 
-    def records(self) -> List[TraceRecord]:
+    def records(self) -> List[TraceEvent]:
         return list(self._records)
 
     def filter(self, category: Optional[str] = None,
                event: Optional[str] = None,
-               node: Optional[int] = None) -> Iterator[TraceRecord]:
+               node: Optional[int] = None) -> Iterator[TraceEvent]:
         for rec in self._records:
             if category is not None and rec.category != category:
                 continue

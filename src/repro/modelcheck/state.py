@@ -121,8 +121,12 @@ class Symmetry:
 # object encoders
 # ----------------------------------------------------------------------
 
-def _owner_tag(obj: Any) -> tuple:
-    """Identify the owner of a bound method by role (+ node)."""
+#: type -> (role, carries a node id), or None for a type with no role;
+#: filled on first use so the component imports stay lazy
+_OWNER_ROLES: Dict[type, Optional[Tuple[str, bool]]] = {}
+
+
+def _owner_role(cls: type) -> Optional[Tuple[str, bool]]:
     from repro.engine.simulator import Simulator
     from repro.memsys.directory import Directory
     from repro.memsys.memory import MemoryModule
@@ -131,24 +135,31 @@ def _owner_tag(obj: Any) -> tuple:
     from repro.runtime.machine import Machine
     from repro.runtime.processor import Processor
 
-    if isinstance(obj, NodeCtrl):
-        return ("ctrl", ("N", obj.node))
-    if isinstance(obj, Processor):
-        return ("proc", ("N", obj.node))
-    if isinstance(obj, MemoryModule):
-        return ("mem", ("N", obj.node))
-    if isinstance(obj, Directory):
-        return ("dir", ("N", obj.node))
-    if isinstance(obj, Network):
-        return ("net",)
-    if isinstance(obj, Simulator):
-        return ("sim",)
-    if isinstance(obj, Machine):
-        return ("machine",)
-    san = type(obj).__name__
-    if san in ("CoherenceSanitizer", "RaceDetector"):
-        return (san,)
-    raise Unencodable(f"bound method on {type(obj).__name__}")
+    for base, role, has_node in ((NodeCtrl, "ctrl", True),
+                                 (Processor, "proc", True),
+                                 (MemoryModule, "mem", True),
+                                 (Directory, "dir", True),
+                                 (Network, "net", False),
+                                 (Simulator, "sim", False),
+                                 (Machine, "machine", False)):
+        if issubclass(cls, base):
+            return role, has_node
+    if cls.__name__ in ("CoherenceSanitizer", "RaceDetector"):
+        return cls.__name__, False
+    return None
+
+
+def _owner_tag(obj: Any) -> tuple:
+    """Identify the owner of a bound method by role (+ node)."""
+    cls = type(obj)
+    try:
+        role = _OWNER_ROLES[cls]
+    except KeyError:
+        role = _OWNER_ROLES[cls] = _owner_role(cls)
+    if role is None:
+        raise Unencodable(f"bound method on {cls.__name__}")
+    name, has_node = role
+    return (name, ("N", obj.node)) if has_node else (name,)
 
 
 def _enc_cb(fn: Any) -> Any:
@@ -422,60 +433,71 @@ def encode_machine(machine, pending_events: List[tuple],
 # rank compression + permutation + canonical form
 # ----------------------------------------------------------------------
 
-def _finalize_ranks(tree: Any) -> Any:
+def _rank_table(tree: tuple) -> Dict[str, Dict[Any, int]]:
+    """Map every ``("Q", domain, raw)`` to the rank of ``raw`` among
+    the raw values of its domain."""
     found: Dict[str, set] = {}
 
-    def scan(t: Any) -> None:
-        if isinstance(t, tuple):
-            if t and t[0] == "Q":
-                found.setdefault(t[1], set()).add(t[2])
-            else:
-                for x in t:
+    def scan(t: tuple) -> None:
+        for x in t:
+            if isinstance(x, tuple) and x:
+                if x[0] == "Q":
+                    found.setdefault(x[1], set()).add(x[2])
+                else:
                     scan(x)
-    scan(tree)
-    ranks = {dom: {raw: i for i, raw in enumerate(sorted(vals))}
-             for dom, vals in found.items()}
-
-    def rewrite(t: Any) -> Any:
-        if isinstance(t, tuple):
-            if t and t[0] == "Q":
-                return ("Q", t[1], ranks[t[1]][t[2]])
-            return tuple(rewrite(x) for x in t)
-        return t
-    return rewrite(tree)
+    scan((tree,))
+    return {dom: {raw: i for i, raw in enumerate(sorted(vals))}
+            for dom, vals in found.items()}
 
 
-def _apply_perm(tree: Any, sym: Optional[Symmetry]) -> Any:
-    def rec(t: Any) -> Any:
-        if not isinstance(t, tuple) or not t:
-            return t
+_TAGS = frozenset(("Q", "N", "B", "W", "A", "NS", "NL", "AMB", "SORT"))
+
+
+def _tagged(tag: str, parts: List[str]) -> str:
+    """``repr`` of ``(tag, *elements)`` whose elements render as
+    ``parts``."""
+    if not parts:
+        return f"({tag!r},)"
+    return f"({tag!r}, " + ", ".join(parts) + ")"
+
+
+def _render(tree: tuple, ranks: Dict[str, Dict[Any, int]],
+            sym: Optional[Symmetry]) -> str:
+    """The ``repr`` of ``tree`` with sequence numbers rank-compressed,
+    ids mapped through ``sym`` (None: the identity) and the children of
+    every ``SORT`` node in sorted order, built bottom-up in one pass:
+    a ``SORT`` node sorts the strings of its children."""
+    def rec(t: tuple) -> str:
         tag = t[0]
-        if tag == "N":
-            return ("N", sym.node(t[1])) if sym is not None else t
-        if tag == "B":
-            return ("B", sym.block(t[1])) if sym is not None else t
-        if tag == "W":
-            return ("W", sym.word(t[1])) if sym is not None else t
-        if tag == "A":
-            return ("A", sym.addr(t[1])) if sym is not None else t
-        if tag == "NS":
-            ids = t[1:] if sym is None else tuple(
-                sym.node(i) for i in t[1:])
-            return ("NS",) + tuple(sorted(ids))
-        if tag == "NL":
+        if isinstance(tag, str) and tag in _TAGS:
+            if tag == "SORT":
+                return _tagged(tag, sorted([
+                    rec(x) if isinstance(x, tuple) and x else repr(x)
+                    for x in t[1:]]))
+            if tag == "Q":
+                return f"('Q', {t[1]!r}, {ranks[t[1]][t[2]]!r})"
+            if tag == "NS":
+                ids = t[1:] if sym is None else [sym.node(i)
+                                                 for i in t[1:]]
+                return _tagged(tag, [repr(i) for i in sorted(ids)])
             if sym is None:
-                return t
-            return ("NL",) + tuple(sym.node(i) for i in t[1:])
-        if tag == "AMB":
-            if sym is not None:
-                raise _AmbiguousPerm(repr(t))
-            return t
-        if tag == "Q":
-            return t
-        if tag == "SORT":
-            return ("SORT",) + tuple(
-                sorted((rec(x) for x in t[1:]), key=repr))
-        return tuple(rec(x) for x in t)
+                return repr(t)
+            if tag == "N":
+                return f"('N', {sym.node(t[1])!r})"
+            if tag == "B":
+                return f"('B', {sym.block(t[1])!r})"
+            if tag == "W":
+                return f"('W', {sym.word(t[1])!r})"
+            if tag == "A":
+                return f"('A', {sym.addr(t[1])!r})"
+            if tag == "NL":
+                return _tagged(tag, [repr(sym.node(i)) for i in t[1:]])
+            raise _AmbiguousPerm(repr(t))
+        parts = [rec(x) if isinstance(x, tuple) and x else repr(x)
+                 for x in t]
+        if len(parts) == 1:
+            return "(" + parts[0] + ",)"
+        return "(" + ", ".join(parts) + ")"
     return rec(tree)
 
 
@@ -486,12 +508,12 @@ def canonical_key(machine, pending_events: List[tuple],
     """The canonical fingerprint of a snapshot, or None when some piece
     of state is :class:`Unencodable` (the caller skips dedup then)."""
     try:
-        tree = _finalize_ranks(
-            encode_machine(machine, pending_events, histories))
-        best = repr(_apply_perm(tree, None))
+        tree = encode_machine(machine, pending_events, histories)
+        ranks = _rank_table(tree)
+        best = _render(tree, ranks, None)
         for sym in symmetries:
             try:
-                cand = repr(_apply_perm(tree, sym))
+                cand = _render(tree, ranks, sym)
             except _AmbiguousPerm:
                 continue
             if cand < best:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.network.messages import MsgType
@@ -212,9 +213,26 @@ class SideSpec:
                      if not e.startswith(LOCAL_PREFIX))
 
     def rows_for(self, state: str, event: str) -> List[TransitionRow]:
-        """Rows matching (state, event), wildcard rows included."""
-        return [r for r in self.rows if r.event == event
-                and r.state in (state, ANY_STATE)]
+        """Rows matching (state, event), wildcard rows included, in row
+        order."""
+        index = self._row_index
+        rows = index.get((state, event))
+        if rows is None:
+            rows = index.get((ANY_STATE, event), ())
+        return list(rows)
+
+    @cached_property
+    def _row_index(self) -> Dict[Tuple[str, str],
+                                 Tuple[TransitionRow, ...]]:
+        """``rows_for`` of every (state, event) some row names; a state
+        with no row of its own for an event matches only the wildcard
+        rows, filed under ``(ANY_STATE, event)``."""
+        keys = {(r.state, r.event) for r in self.rows}
+        keys |= {(ANY_STATE, event) for _, event in keys}
+        return {(state, event): tuple(
+                    r for r in self.rows if r.event == event
+                    and r.state in (state, ANY_STATE))
+                for state, event in keys}
 
     def impossible_for(self, state: str, event: str) -> Optional[Impossible]:
         for imp in self.impossible:

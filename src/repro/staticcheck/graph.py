@@ -349,14 +349,16 @@ class SpecGraphExplorer:
         self.max_ops = max_ops
         self.row_filter = row_filter or (lambda row: True)
         self.max_states = max_states
+        self._local_events = sorted(e for e in spec.cache.events
+                                    if e.startswith(LOCAL_PREFIX))
         # exploration results
         self.visited_states: Dict[str, Set[str]] = {
             "cache": set(), "home": set()}
         self.visited_rows: Dict[str, Set[TransitionRow]] = {
             "cache": set(), "home": set()}
         self.parent: Dict[tuple, Tuple[Optional[tuple], Step]] = {}
-        self.succs: Dict[tuple, List[tuple]] = {}
-        self.quiescent: Set[tuple] = set()
+        #: ids (BFS discovery order) of the quiescent states
+        self.quiescent: List[int] = []
         self.violations: List[Tuple[str, str, tuple,
                                     Tuple[Tuple[str, TransitionRow],
                                           ...]]] = []
@@ -699,12 +701,11 @@ class SpecGraphExplorer:
     def _local_successors(self, world: World
                           ) -> List[Tuple[World, Step]]:
         out: List[Tuple[World, Step]] = []
+        here = world.freeze()
         for agent in AGENTS:
             if world.budget[agent] <= 0:
                 continue
-            for event in sorted(
-                    e for e in self.spec.cache.events
-                    if e.startswith(LOCAL_PREFIX)):
+            for event in self._local_events:
                 rows = [r for r in self.spec.cache.rows_for(
                             world.cstate[agent], event)
                         if self.row_filter(r)]
@@ -721,7 +722,7 @@ class SpecGraphExplorer:
                     # hit exercises its row even though the self-loop
                     # successor is skipped
                     self.visited_rows["cache"].add(row)
-                    if succ.freeze() == world.freeze():
+                    if succ.freeze() == here:
                         continue        # pure hit: a no-op self-loop
                     succ.budget[agent] -= 1
                     out.append((succ, Step(
@@ -815,25 +816,29 @@ class SpecGraphExplorer:
     # -- the BFS driver ------------------------------------------------
 
     def run(self) -> None:
+        """BFS from the initial state.  Each state gets an int id, its
+        discovery index, the first time it is seen, so its frozen tuple
+        is hashed once per edge; successors are id lists."""
         start = self._initial()
         start_frozen = start.freeze()
-        worlds: Dict[tuple, World] = {start_frozen: start}
+        ids: Dict[tuple, int] = {start_frozen: 0}
+        order: List[tuple] = [start_frozen]
+        worlds: List[Optional[World]] = [start]
+        succs: List[List[int]] = [[]]
         self.parent[start_frozen] = (None, Step("start"))
-        order = [start_frozen]
         seen_violations: Set[tuple] = set()
-        i = 0
-        while i < len(order):
-            frozen = order[i]
-            i += 1
-            world = worlds[frozen]
+        for node, frozen in enumerate(order):
+            world = worlds[node]
+            worlds[node] = None
             self.visited_states["cache"].update(world.cstate)
             self.visited_states["home"].add(world.home)
-            if self._is_quiescent(world):
-                self.quiescent.add(frozen)
+            quiescent = self._is_quiescent(world)
+            if quiescent:
+                self.quiescent.append(node)
             n_before = len(self.violations)
             self._data_violations(world, frozen)
             try:
-                succs = self._successors(world)
+                found = self._successors(world)
             except _Stuck as stuck:
                 key = (stuck.finding_kind, stuck.side, stuck.state,
                        stuck.event)
@@ -848,7 +853,7 @@ class SpecGraphExplorer:
                    if v[:2] not in seen_violations])
             for v in self.violations[n_before:]:
                 seen_violations.add(v[:2])
-            if not succs and not self._is_quiescent(world):
+            if not found and not quiescent:
                 self.violations.append((
                     "deadlock",
                     f"non-quiescent state has no successor: cache="
@@ -857,45 +862,49 @@ class SpecGraphExplorer:
                     f"{[m.label() for c in _CHANNELS for m in world.chans[c]]} "
                     f"acks={tuple(world.acks)}", frozen, ()))
                 continue
-            kids = self.succs.setdefault(frozen, [])
-            for succ, step in succs:
+            kids = succs[node]
+            for succ, step in found:
                 sf = succ.freeze()
-                kids.append(sf)
-                if sf not in self.parent:
-                    if len(worlds) >= self.max_states:
+                fresh = len(order)
+                kid = ids.setdefault(sf, fresh)
+                if kid == fresh:
+                    if fresh >= self.max_states:
+                        del ids[sf]
                         self.truncated = True
                         continue
-                    worlds[sf] = succ
-                    self.parent[sf] = (frozen, step)
                     order.append(sf)
-        self._check_livelock(order)
+                    worlds.append(succ)
+                    succs.append([])
+                    self.parent[sf] = (frozen, step)
+                kids.append(kid)
+        self._check_livelock(order, succs)
 
-    def _check_livelock(self, order: List[tuple]) -> None:
+    def _check_livelock(self, order: List[tuple],
+                        succs: List[List[int]]) -> None:
         """Reverse reachability from the quiescent set: every explored
         state must be able to drain back to rest."""
         if self.truncated:
             return              # frontier cut: reachability is partial
-        rev: Dict[tuple, List[tuple]] = {}
-        for src, kids in self.succs.items():
+        rev: List[List[int]] = [[] for _ in order]
+        for src, kids in enumerate(succs):
             for kid in kids:
-                rev.setdefault(kid, []).append(src)
-        can_rest: Set[tuple] = set(self.quiescent)
+                rev[kid].append(src)
+        can_rest = bytearray(len(order))
+        for node in self.quiescent:
+            can_rest[node] = 1
         stack = list(self.quiescent)
         while stack:
-            node = stack.pop()
-            for pred in rev.get(node, ()):
-                if pred not in can_rest:
-                    can_rest.add(pred)
+            for pred in rev[stack.pop()]:
+                if not can_rest[pred]:
+                    can_rest[pred] = 1
                     stack.append(pred)
-        reported = 0
-        for frozen in order:
-            if frozen not in can_rest and reported < 1:
-                reported += 1
-                self.violations.append((
-                    "livelock",
-                    "reachable state from which no quiescent state "
-                    "is reachable: an in-flight transaction can "
-                    "never complete", frozen, ()))
+        stranded = can_rest.find(0)
+        if stranded >= 0:
+            self.violations.append((
+                "livelock",
+                "reachable state from which no quiescent state "
+                "is reachable: an in-flight transaction can "
+                "never complete", order[stranded], ()))
 
     # -- counterexample reconstruction ---------------------------------
 

@@ -62,6 +62,14 @@ def test_residual_warns_are_all_suppressed_by_the_manifest(
             f"unsuppressed graph warning: {f.ident}: {f.detail}")
 
 
+@pytest.mark.parametrize("fixture, states", [("wi_result", 22_398),
+                                             ("mesi_result", 12_696)])
+def test_graph_state_counts_are_pinned(fixture, states, request):
+    """The explored product graph has exactly the committed size."""
+    _, graph = request.getfixturevalue(fixture)
+    assert sum(run["states"] for run in graph["runs"]) == states
+
+
 def test_full_state_and_row_coverage_on_wi(wi_result):
     """Modulo the manifest's defensive rows, exploration visits every
     state on both sides."""
